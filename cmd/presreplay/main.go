@@ -23,6 +23,7 @@ import (
 	"os/signal"
 
 	"repro"
+	"repro/internal/cliprof"
 )
 
 func main() {
@@ -50,22 +51,31 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write a metrics snapshot to this file")
 	metricsFormat := flag.String("metrics-format", "json", "metrics snapshot format: json or prom")
 	traceOut := flag.String("trace-out", "", "write a JSONL attempt trace to this file (see OBSERVABILITY.md)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the search and verification to this file")
 	flag.Parse()
 
+	// The profile is flushed on every exit path: failures exit through
+	// prof.Fatalf/prof.Exit rather than log.Fatal, which skips defers.
+	prof, err := cliprof.Start(*cpuProfile)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer prof.Stop()
+
 	if *appName == "" || flag.NArg() != 1 {
-		log.Fatal("usage: presreplay -app <name> [-bug <id>] <recording-file>")
+		prof.Fatalf("usage: presreplay -app <name> [-bug <id>] <recording-file>")
 	}
 	if *metricsFormat != "json" && *metricsFormat != "prom" && *metricsFormat != "prometheus" {
-		log.Fatalf("unknown -metrics-format %q (want json or prom)", *metricsFormat)
+		prof.Fatalf("unknown -metrics-format %q (want json or prom)", *metricsFormat)
 	}
 	prog, ok := repro.GetProgram(*appName)
 	if !ok {
-		log.Fatalf("unknown application %q (see preslist)", *appName)
+		prof.Fatalf("unknown application %q (see preslist)", *appName)
 	}
 
 	f, err := os.Open(flag.Arg(0))
 	if err != nil {
-		log.Fatal(err)
+		prof.Fatalf("%v", err)
 	}
 	defer f.Close()
 	rec, err := repro.ReadRecording(f, repro.Options{
@@ -75,10 +85,10 @@ func main() {
 		ScheduleSeed: *seed,
 	})
 	if err != nil {
-		log.Fatal(err)
+		prof.Fatalf("%v", err)
 	}
 	if err := rec.Validate(); err != nil {
-		log.Fatalf("recording failed validation: %v", err)
+		prof.Fatalf("recording failed validation: %v", err)
 	}
 	fmt.Printf("recording: scheme=%v entries=%d inputs=%d\n",
 		rec.Scheme, rec.Sketch.Len(), rec.Inputs.Len())
@@ -149,7 +159,7 @@ func main() {
 	if *traceOut != "" {
 		tf, err := os.Create(*traceOut)
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatalf("%v", err)
 		}
 		traceFile = tf
 		ropts.Trace = repro.NewTraceSink(tf)
@@ -171,13 +181,13 @@ func main() {
 		if reg != nil {
 			f, err := os.Create(*metricsOut)
 			if err != nil {
-				log.Fatal(err)
+				prof.Fatalf("%v", err)
 			}
 			if err := repro.WriteMetrics(f, reg, *metricsFormat); err != nil {
-				log.Fatal(err)
+				prof.Fatalf("%v", err)
 			}
 			if err := f.Close(); err != nil {
-				log.Fatal(err)
+				prof.Fatalf("%v", err)
 			}
 			fmt.Printf("metrics snapshot written to %s\n", *metricsOut)
 		}
@@ -193,7 +203,7 @@ func main() {
 			fmt.Printf("advice: %s\n", repro.Advise(rec, res))
 		}
 		flush()
-		os.Exit(1)
+		prof.Exit(1)
 	}
 	fmt.Printf("reproduced in %d attempts (%d race flips): %v\n", res.Attempts, res.Flips, res.Failure)
 	if res.Stats.Steps > 0 {
@@ -220,7 +230,7 @@ func main() {
 		}
 	}
 	if !ok {
-		log.Fatal("captured order did not re-reproduce — this is a bug in the replayer")
+		prof.Fatalf("captured order did not re-reproduce — this is a bug in the replayer")
 	}
 	fmt.Printf("captured order re-reproduced the failure %d/%d times\n", *verify, *verify)
 

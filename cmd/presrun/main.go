@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"repro"
+	"repro/internal/cliprof"
 )
 
 func main() {
@@ -40,15 +41,24 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write a metrics snapshot to this file")
 	metricsFormat := flag.String("metrics-format", "json", "metrics snapshot format: json or prom")
 	traceOut := flag.String("trace-out", "", "write a JSONL trace of every production run probed (see OBSERVABILITY.md)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the whole run to this file")
 	flag.Parse()
 
+	// The profile is flushed on every exit path: failures exit through
+	// prof.Fatalf/prof.Exit rather than log.Fatal, which skips defers.
+	prof, err := cliprof.Start(*cpuProfile)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer prof.Stop()
+
 	if *metricsFormat != "json" && *metricsFormat != "prom" && *metricsFormat != "prometheus" {
-		log.Fatalf("unknown -metrics-format %q (want json or prom)", *metricsFormat)
+		prof.Fatalf("unknown -metrics-format %q (want json or prom)", *metricsFormat)
 	}
 
 	scheme, err := repro.ParseScheme(*schemeName)
 	if err != nil {
-		log.Fatal(err)
+		prof.Fatalf("%v", err)
 	}
 
 	var prog *repro.Program
@@ -56,17 +66,17 @@ func main() {
 	case *bugID != "":
 		p, ok := repro.ProgramForBug(*bugID)
 		if !ok {
-			log.Fatalf("unknown bug %q (see preslist)", *bugID)
+			prof.Fatalf("unknown bug %q (see preslist)", *bugID)
 		}
 		prog = p
 	case *appName != "":
 		p, ok := repro.GetProgram(*appName)
 		if !ok {
-			log.Fatalf("unknown application %q (see preslist)", *appName)
+			prof.Fatalf("unknown application %q (see preslist)", *appName)
 		}
 		prog = p
 	default:
-		log.Fatal("one of -app or -bug is required")
+		prof.Fatalf("one of -app or -bug is required")
 	}
 
 	opts := repro.Options{
@@ -97,7 +107,7 @@ func main() {
 	if *traceOut != "" {
 		tf, err := os.Create(*traceOut)
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatalf("%v", err)
 		}
 		defer tf.Close()
 		sink = repro.NewTraceSink(tf)
@@ -138,7 +148,7 @@ func main() {
 			}
 		}
 		if rec == nil {
-			log.Fatalf("bug %s did not manifest in %d seeds", *bugID, *seedBudget)
+			prof.Fatalf("bug %s did not manifest in %d seeds", *bugID, *seedBudget)
 		}
 	} else {
 		opts.ScheduleSeed = *seed
@@ -163,13 +173,13 @@ func main() {
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatalf("%v", err)
 		}
 		if err := rec.Write(f); err != nil {
-			log.Fatal(err)
+			prof.Fatalf("%v", err)
 		}
 		if err := f.Close(); err != nil {
-			log.Fatal(err)
+			prof.Fatalf("%v", err)
 		}
 		fmt.Printf("recording written to %s\n", *out)
 		fmt.Printf("replay with: presreplay -app %s -seed %d -world-seed %d -procs %d -scale %d",
@@ -192,13 +202,13 @@ func main() {
 	if reg != nil {
 		f, err := os.Create(*metricsOut)
 		if err != nil {
-			log.Fatal(err)
+			prof.Fatalf("%v", err)
 		}
 		if err := repro.WriteMetrics(f, reg, *metricsFormat); err != nil {
-			log.Fatal(err)
+			prof.Fatalf("%v", err)
 		}
 		if err := f.Close(); err != nil {
-			log.Fatal(err)
+			prof.Fatalf("%v", err)
 		}
 		fmt.Printf("metrics snapshot written to %s\n", *metricsOut)
 	}

@@ -1,7 +1,9 @@
 package repro_test
 
 import (
+	"compress/gzip"
 	"encoding/json"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -79,9 +81,41 @@ func TestCommandLineWorkflow(t *testing.T) {
 		t.Fatalf("prometheus metrics:\n%s", prom)
 	}
 
+	// -cpuprofile flushes a complete profile on success and on the
+	// exit-1 path of a search that never reproduces.
+	recProf := filepath.Join(dir, "presrun.pprof")
+	run("presrun", "-bug", "fft-barrier", "-scheme", "SYNC", "-cpuprofile", recProf)
+	checkCPUProfile(t, recProf)
+	failProf := filepath.Join(dir, "presreplay-fail.pprof")
+	fail := exec.Command(bins["presreplay"], "-app", "fft", "-bug", "no-such-bug",
+		"-max-attempts", "2", "-cpuprofile", failProf, recFile)
+	if out, err := fail.CombinedOutput(); fail.ProcessState == nil || fail.ProcessState.ExitCode() != 1 {
+		t.Fatalf("unreproducible search: want exit 1, got %v\n%s", err, out)
+	}
+	checkCPUProfile(t, failProf)
+
 	out = run("presbench", "-exp", "e9", "-json", "-seed-budget", "500")
 	if !strings.Contains(out, "\"e9\"") || !strings.Contains(out, "\"Reproduced\": true") {
 		t.Fatalf("presbench json output:\n%s", out)
+	}
+}
+
+// checkCPUProfile asserts the file holds a complete runtime/pprof CPU
+// profile: a gzip stream that decompresses to a non-empty message.
+func checkCPUProfile(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("%s: not a gzipped profile: %v", path, err)
+	}
+	body, err := io.ReadAll(zr)
+	if err != nil || len(body) == 0 {
+		t.Fatalf("%s: truncated profile (%d bytes, %v)", path, len(body), err)
 	}
 }
 

@@ -11,8 +11,6 @@
 package appkit
 
 import (
-	"hash/fnv"
-
 	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/vsys"
@@ -71,26 +69,39 @@ type Program struct {
 	Run func(env *Env)
 }
 
-// id hashes an instrumentation label.
-func id(name string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return h.Sum64()
+// id hashes an instrumentation label, prefix then name, with 64-bit
+// FNV-1a — the value hash/fnv's New64a yields over prefix+name,
+// computed inline so hashing a label allocates nothing.
+func id(prefix, name string) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(prefix); i++ {
+		h ^= uint64(prefix[i])
+		h *= prime64
+	}
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= prime64
+	}
+	return h
 }
 
 // FuncID returns the stable id the FUNC sketch sees for a function name.
-func FuncID(name string) uint64 { return id("func:" + name) }
+func FuncID(name string) uint64 { return id("func:", name) }
 
 // BBID returns the stable id the BB sketch sees for a block label.
-func BBID(name string) uint64 { return id("bb:" + name) }
+func BBID(name string) uint64 { return id("bb:", name) }
 
 // Func brackets body with function-entry/exit instrumentation points,
 // the hooks the FUNC sketching mechanism records.
 func Func(t *sched.Thread, name string, body func()) {
 	fid := FuncID(name)
-	t.Point(&sched.Op{Kind: trace.KindFuncEnter, Obj: fid, Desc: "enter " + name})
+	t.Point(&sched.Op{Kind: trace.KindFuncEnter, Obj: fid, Desc: "enter", Name: name})
 	body()
-	t.Point(&sched.Op{Kind: trace.KindFuncExit, Obj: fid, Desc: "exit " + name})
+	t.Point(&sched.Op{Kind: trace.KindFuncExit, Obj: fid, Desc: "exit", Name: name})
 }
 
 // BB marks a basic-block boundary, the hook the BB sketching mechanism
@@ -135,6 +146,7 @@ func BlockOp(name string, n int) *sched.Op {
 		Obj:  BBID(name),
 		Arg:  uint64(n),
 		Cost: uint64(n) * trace.CostUnit,
-		Desc: "bb " + name,
+		Desc: "bb",
+		Name: name,
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"repro/internal/race"
 	"repro/internal/sched"
@@ -45,28 +46,68 @@ func (fs flipSet) pairs() []race.Pair {
 	return out
 }
 
-func (f flip) key() string {
-	return fmt.Sprintf("%#x:t%d#%d>t%d#%d", f.addr, f.untilTID, f.untilCnt, f.holdTID, f.holdCount)
+// key renders the flip's canonical sort key, "addr:tU#n>tH#m" with the
+// address in 0x-prefixed hex. The director enforces flips in this
+// string order; it is rendered only when a set of two or more flips
+// is ordered, or for the trace.
+func (f flip) key() string { return string(f.appendKey(nil)) }
+
+func (f flip) appendKey(b []byte) []byte {
+	b = append(b, "0x"...)
+	b = strconv.AppendUint(b, f.addr, 16)
+	b = append(b, ":t"...)
+	b = strconv.AppendInt(b, int64(f.untilTID), 10)
+	b = append(b, '#')
+	b = strconv.AppendUint(b, f.untilCnt, 10)
+	b = append(b, ">t"...)
+	b = strconv.AppendInt(b, int64(f.holdTID), 10)
+	b = append(b, '#')
+	b = strconv.AppendUint(b, f.holdCount, 10)
+	return b
+}
+
+// id returns the flip's enforcement coordinates, the unit of the
+// canonical flip-set identities.
+func (f flip) id() trace.FlipID {
+	return trace.FlipID{
+		Addr:       f.addr,
+		HoldTID:    f.holdTID,
+		HoldCount:  f.holdCount,
+		UntilTID:   f.untilTID,
+		UntilCount: f.untilCnt,
+	}
+}
+
+// accessPair identifies the unordered access pair a flip constrains:
+// the address plus its two (TID, TCount) coordinates, lower one first.
+type accessPair struct {
+	addr    uint64
+	loTID   trace.TID
+	loCount uint64
+	hiTID   trace.TID
+	hiCount uint64
 }
 
 // pairKey identifies the unordered access pair a flip constrains. A
 // flip set constrains each pair at most once: otherwise the search
 // oscillates, flipping the same race back and forth as each attempt
 // re-observes it in the direction the previous flip produced.
-func (f flip) pairKey() string {
-	a := fmt.Sprintf("t%d#%d", f.holdTID, f.holdCount)
-	b := fmt.Sprintf("t%d#%d", f.untilTID, f.untilCnt)
-	if a > b {
-		a, b = b, a
+func (f flip) pairKey() accessPair {
+	k := accessPair{addr: f.addr,
+		loTID: f.holdTID, loCount: f.holdCount,
+		hiTID: f.untilTID, hiCount: f.untilCnt}
+	if k.hiTID < k.loTID || (k.hiTID == k.loTID && k.hiCount < k.loCount) {
+		k.loTID, k.hiTID = k.hiTID, k.loTID
+		k.loCount, k.hiCount = k.hiCount, k.loCount
 	}
-	return fmt.Sprintf("%#x:%s/%s", f.addr, a, b)
+	return k
 }
 
 // flipSet is an ordered set of flips defining one point in the search
-// tree. Order matters only for the key; enforcement is simultaneous.
+// tree. Order matters only for the trace rendering; enforcement is
+// simultaneous.
 type flipSet struct {
 	flips []flip
-	id    string
 }
 
 // with returns fs extended by f, or ok=false if fs already constrains
@@ -78,9 +119,19 @@ func (fs flipSet) with(f flip) (flipSet, bool) {
 			return flipSet{}, false
 		}
 	}
-	child := flipSet{flips: append(append([]flip(nil), fs.flips...), f)}
-	child.id = fs.id + "|" + f.key()
-	return child, true
+	return flipSet{flips: append(append([]flip(nil), fs.flips...), f)}, true
+}
+
+// traceID renders the set's discovery-order identity for the attempt
+// trace (obs.AttemptEvent.FlipSetID): "|"-prefixed flip keys. Only the
+// trace reads it, so it is built only when a sink is attached.
+func (fs flipSet) traceID() string {
+	var b []byte
+	for _, f := range fs.flips {
+		b = append(b, '|')
+		b = f.appendKey(b)
+	}
+	return string(b)
 }
 
 // director is both the replay Strategy and an Observer: it enforces the
@@ -125,6 +176,12 @@ type director struct {
 
 	diverged    bool
 	divergeNote string
+
+	// grantBuf and filterBuf back collect's and applyFlips' results:
+	// each pick rebuilds them in place, so the per-pick candidate
+	// partitioning allocates nothing once they have grown.
+	grantBuf  []sched.Candidate
+	filterBuf []sched.Candidate
 }
 
 func newDirector(scheme sketch.Scheme, entries []trace.SketchEntry, fs flipSet, rng *rand.Rand) *director {
@@ -133,7 +190,13 @@ func newDirector(scheme sketch.Scheme, entries []trace.SketchEntry, fs flipSet, 
 	// scan, and sorting makes the attempt a function of the flip *set* —
 	// the same identity the dedup set and the schedule cache key on.
 	flips := append([]flip(nil), fs.flips...)
-	sort.Slice(flips, func(i, j int) bool { return flips[i].key() < flips[j].key() })
+	if len(flips) > 1 {
+		keys := make([]string, len(flips))
+		for i, f := range flips {
+			keys[i] = f.key()
+		}
+		sort.Sort(flipsByKey{flips, keys})
+	}
 	return &director{
 		scheme:   scheme,
 		entries:  entries,
@@ -142,6 +205,19 @@ func newDirector(scheme sketch.Scheme, entries []trace.SketchEntry, fs flipSet, 
 		executed: make(map[trace.TID]uint64),
 		rng:      rng,
 	}
+}
+
+// flipsByKey sorts flips by their canonical key strings, computed once.
+type flipsByKey struct {
+	flips []flip
+	keys  []string
+}
+
+func (s flipsByKey) Len() int           { return len(s.flips) }
+func (s flipsByKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
+func (s flipsByKey) Swap(i, j int) {
+	s.flips[i], s.flips[j] = s.flips[j], s.flips[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
 // Pick implements sched.Strategy.
@@ -254,8 +330,11 @@ func (d *director) anyFlipPending() bool {
 // collect partitions the runnable candidates under the current sketch
 // rule: strictly before any flip engages (out-of-turn sketch ops are
 // held, impossible sketches diverge), and softly after (everything may
-// run, the expected entry is merely preferred via k-advancement).
+// run, the expected entry is merely preferred via k-advancement). The
+// result reuses the director's grant buffer, so it is valid until the
+// next call.
 func (d *director) collect(view *sched.PickView) (grantable []sched.Candidate, expected *sched.Candidate, ok bool) {
+	grantable = d.grantBuf[:0]
 	for i := range view.Candidates {
 		c := view.Candidates[i]
 		if d.scheme.Records(c.Kind) && d.k < len(d.entries) {
@@ -289,12 +368,15 @@ func (d *director) collect(view *sched.PickView) (grantable []sched.Candidate, e
 		d.divergeNote = fmt.Sprintf("no thread can reach sketch[%d]", d.k)
 		return nil, nil, false
 	}
+	d.grantBuf = grantable[:0]
 	return grantable, expected, true
 }
 
 // applyFlips filters out candidates currently held by an active flip.
+// The result reuses the director's filter buffer, so it is valid until
+// the next call.
 func (d *director) applyFlips(grantable []sched.Candidate) (filtered []sched.Candidate, anyHeld bool) {
-	filtered = grantable[:0:0]
+	filtered = d.filterBuf[:0]
 	for _, c := range grantable {
 		if d.heldByFlip(c) {
 			anyHeld = true
@@ -302,6 +384,7 @@ func (d *director) applyFlips(grantable []sched.Candidate) (filtered []sched.Can
 		}
 		filtered = append(filtered, c)
 	}
+	d.filterBuf = filtered[:0]
 	return filtered, anyHeld
 }
 

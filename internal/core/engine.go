@@ -311,8 +311,8 @@ type searchState struct {
 	// Guarded by the pool's mutex (only touched from Dispatch, Complete
 	// and Commit).
 	directedLive int // dispatched directed attempts not yet completed
-	seen         map[string]bool
-	racesSeen    map[string]bool
+	seen         map[flipSetID]bool
+	racesSeen    map[race.PairKey]bool
 	r            *ReplayResult
 }
 

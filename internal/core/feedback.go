@@ -22,7 +22,7 @@ import (
 // snapshot probe at the added flip's first access (snapshot.go).
 type replayNode struct {
 	fs          flipSet
-	parentRaces map[string]bool
+	parentRaces map[race.PairKey]bool
 	parentKey   string
 	bound       uint64
 }
@@ -38,8 +38,8 @@ type replayNode struct {
 // while the partner slips in.
 //
 // Dedup happens here, under the pool's commit lock, against canonical
-// flip-set keys — so two orderings of the same flips are one node, and
-// no worker ever observes a half-updated dedup set.
+// flip-set identities — so two orderings of the same flips are one
+// node, and no worker ever observes a half-updated dedup set.
 func (s *searchState) appendChildren(nd replayNode, out attemptOutcome) int {
 	if len(nd.fs.flips) >= maxFlipDepth {
 		return 0 // deep chains are noise; let siblings run
@@ -49,10 +49,9 @@ func (s *searchState) appendChildren(nd replayNode, out attemptOutcome) int {
 	if s.snaps != nil {
 		pk = snapKey(s.digest, canonicalFlipKey(nd.fs))
 	}
-	myRaces := make(map[string]bool, len(out.races))
-	for _, p := range out.races {
-		myRaces[p.Key()] = true
-	}
+	// The races this attempt observed become its children's parentRaces;
+	// built on the first push, so a fully deduplicated commit skips it.
+	var myRaces map[race.PairKey]bool
 	dist := func(p race.Pair) uint64 {
 		d := out.horizon - p.SecondSeq
 		if p.SecondSeq >= out.horizon {
@@ -92,13 +91,19 @@ func (s *searchState) appendChildren(nd replayNode, out attemptOutcome) int {
 			if !ok {
 				continue
 			}
-			ck := canonicalFlipKey(child)
+			ck := canonicalFlipSetID(child)
 			if s.seen[ck] {
 				continue
 			}
 			s.seen[ck] = true
 			if !fresh {
 				oldSlots--
+			}
+			if myRaces == nil {
+				myRaces = make(map[race.PairKey]bool, len(out.races))
+				for _, r := range out.races {
+					myRaces[r.Key()] = true
+				}
 			}
 			s.frontier.Push(replayNode{fs: child, parentRaces: myRaces,
 				parentKey: pk, bound: p.FirstSeq}, len(child.flips))
@@ -114,22 +119,56 @@ func (s *searchState) appendChildren(nd replayNode, out attemptOutcome) int {
 // extra level multiplies the tree by the branch factor.
 const maxFlipDepth = 4
 
-// canonicalFlipKey is the order-independent identity of a flip set —
-// the dedup and cache key. Distinct sets never collide
-// (trace.FlipSetKey is injective; FuzzFlipSetKey pins it).
+// flipSetID is the order-independent identity of a flip set as a
+// comparable value — the dedup set's key: the set's size and its flips
+// in sorted order, zero-padded to maxFlipDepth. Two sets share an ID
+// exactly when they share a trace.FlipSetKey string, which is built
+// only where a string is needed (the schedule cache and snapshot
+// keys).
+type flipSetID struct {
+	n   int
+	ids [maxFlipDepth]trace.FlipID
+}
+
+// canonicalFlipSetID returns fs's identity. Flip sets never exceed
+// maxFlipDepth flips: appendChildren stops extending at the cap.
+func canonicalFlipSetID(fs flipSet) flipSetID {
+	k := flipSetID{n: len(fs.flips)}
+	for i, f := range fs.flips {
+		k.ids[i] = f.id()
+		for j := i; j > 0 && flipIDLess(k.ids[j], k.ids[j-1]); j-- {
+			k.ids[j], k.ids[j-1] = k.ids[j-1], k.ids[j]
+		}
+	}
+	return k
+}
+
+// flipIDLess is a total order on FlipIDs, field by field.
+func flipIDLess(a, b trace.FlipID) bool {
+	switch {
+	case a.Addr != b.Addr:
+		return a.Addr < b.Addr
+	case a.HoldTID != b.HoldTID:
+		return a.HoldTID < b.HoldTID
+	case a.HoldCount != b.HoldCount:
+		return a.HoldCount < b.HoldCount
+	case a.UntilTID != b.UntilTID:
+		return a.UntilTID < b.UntilTID
+	}
+	return a.UntilCount < b.UntilCount
+}
+
+// canonicalFlipKey is the order-independent identity of a flip set as
+// a string — the schedule cache's and the snapshot cache's flip-set
+// component. Distinct sets never collide (trace.FlipSetKey is
+// injective; FuzzFlipSetKey pins it).
 func canonicalFlipKey(fs flipSet) string {
 	if len(fs.flips) == 0 {
 		return ""
 	}
 	ids := make([]trace.FlipID, len(fs.flips))
 	for i, f := range fs.flips {
-		ids[i] = trace.FlipID{
-			Addr:       f.addr,
-			HoldTID:    f.holdTID,
-			HoldCount:  f.holdCount,
-			UntilTID:   f.untilTID,
-			UntilCount: f.untilCnt,
-		}
+		ids[i] = f.id()
 	}
 	return trace.FlipSetKey(ids)
 }

@@ -308,8 +308,8 @@ func ReplayContext(ctx context.Context, prog *appkit.Program, rec *Recording, op
 		budget:    opts.maxAttempts(),
 		maxW:      opts.Workers,
 		failTID:   trace.NoTID,
-		seen:      map[string]bool{"": true},
-		racesSeen: map[string]bool{},
+		seen:      map[flipSetID]bool{{}: true},
+		racesSeen: map[race.PairKey]bool{},
 		r:         &ReplayResult{},
 	}
 	s.cancel.Store(cancelNone)

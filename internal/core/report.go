@@ -22,11 +22,15 @@ func (o ReplayOptions) reportAttempt(idx int, directed bool, fs flipSet, out att
 		mode = "directed"
 	}
 	outcome := outcomeName(out)
+	var setID string
+	if o.Trace != nil {
+		setID = fs.traceID()
+	}
 	o.Trace.Emit(obs.AttemptEvent{
 		Event:          obs.EventAttempt,
 		Attempt:        idx,
 		Mode:           mode,
-		FlipSetID:      fs.id,
+		FlipSetID:      setID,
 		FlipDepth:      len(fs.flips),
 		Outcome:        outcome,
 		WallMS:         float64(out.wall) / float64(time.Millisecond),

@@ -104,7 +104,7 @@ type dirState struct {
 	// done holds the keys of flips already released at the capture
 	// point. Keyed by flip identity, not index: the child's flip slice
 	// contains one more flip and is re-sorted.
-	done map[string]bool
+	done map[trace.FlipID]bool
 }
 
 func captureDirState(d *director) dirState {
@@ -112,10 +112,10 @@ func captureDirState(d *director) dirState {
 	for tid, n := range d.executed {
 		ex[tid] = n
 	}
-	done := make(map[string]bool, len(d.flips))
+	done := make(map[trace.FlipID]bool, len(d.flips))
 	for i, f := range d.flips {
 		if d.flipDone[i] {
-			done[f.key()] = true
+			done[f.id()] = true
 		}
 	}
 	return dirState{k: d.k, last: d.last, soft: d.soft,
@@ -137,7 +137,7 @@ func installDirState(d *director, st dirState) {
 		d.executed[tid] = n
 	}
 	for i, f := range d.flips {
-		if st.done[f.key()] {
+		if st.done[f.id()] {
 			d.flipDone[i] = true
 		}
 	}

@@ -51,7 +51,8 @@ func (c *Cell) Load(t *sched.Thread) uint64 {
 	t.Point(&sched.Op{
 		Kind: trace.KindLoad,
 		Obj:  c.addr,
-		Desc: "load " + c.name,
+		Desc: "load",
+		Name: c.name,
 		Effect: func(ctx *sched.EffectCtx) {
 			v = c.val
 			ctx.Ev.Arg = v
@@ -66,7 +67,8 @@ func (c *Cell) Store(t *sched.Thread, v uint64) {
 		Kind:   trace.KindStore,
 		Obj:    c.addr,
 		Arg:    v,
-		Desc:   "store " + c.name,
+		Desc:   "store",
+		Name:   c.name,
 		Effect: func(*sched.EffectCtx) { c.val = v },
 	})
 }
@@ -80,7 +82,8 @@ func (c *Cell) Add(t *sched.Thread, delta uint64) uint64 {
 		Kind: trace.KindRMW,
 		Obj:  c.addr,
 		Arg:  delta,
-		Desc: "add " + c.name,
+		Desc: "add",
+		Name: c.name,
 		Effect: func(ctx *sched.EffectCtx) {
 			c.val += delta
 			v = c.val
@@ -97,7 +100,8 @@ func (c *Cell) CAS(t *sched.Thread, old, new uint64) bool {
 		Kind: trace.KindRMW,
 		Obj:  c.addr,
 		Arg:  new,
-		Desc: "cas " + c.name,
+		Desc: "cas",
+		Name: c.name,
 		Effect: func(ctx *sched.EffectCtx) {
 			if c.val == old {
 				c.val = new
@@ -115,7 +119,8 @@ func (c *Cell) LoadOp(f func(uint64)) *sched.Op {
 	return &sched.Op{
 		Kind: trace.KindLoad,
 		Obj:  c.addr,
-		Desc: "load " + c.name,
+		Desc: "load",
+		Name: c.name,
 		Effect: func(ctx *sched.EffectCtx) {
 			v := c.val
 			ctx.Ev.Arg = v
@@ -133,7 +138,8 @@ func (c *Cell) StoreOp(v uint64) *sched.Op {
 		Kind:   trace.KindStore,
 		Obj:    c.addr,
 		Arg:    v,
-		Desc:   "store " + c.name,
+		Desc:   "store",
+		Name:   c.name,
 		Effect: func(*sched.EffectCtx) { c.val = v },
 	}
 }
@@ -145,7 +151,8 @@ func (c *Cell) StoreOpFn(f func() uint64) *sched.Op {
 	return &sched.Op{
 		Kind: trace.KindStore,
 		Obj:  c.addr,
-		Desc: "store " + c.name,
+		Desc: "store",
+		Name: c.name,
 		Effect: func(ctx *sched.EffectCtx) {
 			v := f()
 			c.val = v
@@ -190,7 +197,8 @@ func (a *Array) Load(t *sched.Thread, i int) uint64 {
 	t.Point(&sched.Op{
 		Kind: trace.KindLoad,
 		Obj:  a.ElemAddr(i),
-		Desc: "load " + a.name,
+		Desc: "load",
+		Name: a.name,
 		Effect: func(ctx *sched.EffectCtx) {
 			v = a.vals[i]
 			ctx.Ev.Arg = v
@@ -205,7 +213,8 @@ func (a *Array) Store(t *sched.Thread, i int, v uint64) {
 		Kind:   trace.KindStore,
 		Obj:    a.ElemAddr(i),
 		Arg:    v,
-		Desc:   "store " + a.name,
+		Desc:   "store",
+		Name:   a.name,
 		Effect: func(*sched.EffectCtx) { a.vals[i] = v },
 	})
 }
@@ -217,7 +226,8 @@ func (a *Array) Add(t *sched.Thread, i int, delta uint64) uint64 {
 		Kind: trace.KindRMW,
 		Obj:  a.ElemAddr(i),
 		Arg:  delta,
-		Desc: "add " + a.name,
+		Desc: "add",
+		Name: a.name,
 		Effect: func(ctx *sched.EffectCtx) {
 			a.vals[i] += delta
 			v = a.vals[i]
@@ -233,7 +243,8 @@ func (a *Array) LoadOp(i int, f func(uint64)) *sched.Op {
 	return &sched.Op{
 		Kind: trace.KindLoad,
 		Obj:  a.ElemAddr(i),
-		Desc: "load " + a.name,
+		Desc: "load",
+		Name: a.name,
 		Effect: func(ctx *sched.EffectCtx) {
 			v := a.vals[i]
 			ctx.Ev.Arg = v
@@ -251,7 +262,8 @@ func (a *Array) StoreOp(i int, v uint64) *sched.Op {
 		Kind:   trace.KindStore,
 		Obj:    a.ElemAddr(i),
 		Arg:    v,
-		Desc:   "store " + a.name,
+		Desc:   "store",
+		Name:   a.name,
 		Effect: func(*sched.EffectCtx) { a.vals[i] = v },
 	}
 }
@@ -263,7 +275,8 @@ func (a *Array) StoreOpFn(i int, f func() uint64) *sched.Op {
 	return &sched.Op{
 		Kind: trace.KindStore,
 		Obj:  a.ElemAddr(i),
-		Desc: "store " + a.name,
+		Desc: "store",
+		Name: a.name,
 		Effect: func(ctx *sched.EffectCtx) {
 			v := f()
 			a.vals[i] = v

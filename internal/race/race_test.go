@@ -181,7 +181,7 @@ func TestAccessAndPairStrings(t *testing.T) {
 		t.Fatalf("named Access.String() = %q", named.String())
 	}
 	p := Pair{First: a, Second: Access{TID: 2, TCount: 5, Addr: 0x40}, SecondSeq: 9}
-	if p.Key() == "" || !strings.Contains(p.String(), "race{") {
+	if p.Key() == (PairKey{}) || !strings.Contains(p.String(), "race{") {
 		t.Fatal("pair rendering broken")
 	}
 }

@@ -133,6 +133,31 @@ func TestOpDescribeVariants(t *testing.T) {
 	if nilOp.describe() != "?" {
 		t.Fatal("nil describe")
 	}
+	// Ops label themselves as verb (Desc) plus object (Name); the
+	// rendered text is byte-identical to the single concatenated label
+	// ops carried before, wedged suffix and dynamic state included —
+	// deadlock reports and the scenario outcomes matched on them do not
+	// move.
+	held := func() string { return "held by w" }
+	for _, c := range []struct {
+		op   *Op
+		want string
+	}{
+		{&Op{Kind: trace.KindLock, Obj: 5}, "lock obj=0x5"},
+		{&Op{Kind: trace.KindLock, Obj: 5, Desc: "lock m"}, "lock m (lock obj=0x5)"},
+		{&Op{Kind: trace.KindLock, Obj: 5, Desc: "lock", Name: "m"}, "lock m (lock obj=0x5)"},
+		{&Op{Kind: trace.KindLock, Obj: 5, Desc: "lock", Name: "m", DescFn: held}, "lock m held by w (lock obj=0x5)"},
+		{&Op{Kind: trace.KindLock, Obj: 5, Desc: "lock", Name: "m", Wedged: true}, "lock m (wedged) (lock obj=0x5)"},
+		{&Op{Kind: trace.KindLock, Obj: 5, Desc: "lock", Name: "m", Wedged: true, DescFn: held},
+			"lock m (wedged) held by w (lock obj=0x5)"},
+		{&Op{Kind: trace.KindSyscall, Obj: 2, Desc: "sys read", Name: "f", Wedged: true}, "sys read f (wedged) (syscall obj=0x2)"},
+		{&Op{Kind: trace.KindSyscall, Obj: 4, Desc: "sys now", Wedged: true}, "sys now (wedged) (syscall obj=0x4)"},
+		{&Op{Kind: trace.KindSpawn, Desc: "spawn", Name: "w"}, "spawn w (spawn obj=0x0)"},
+	} {
+		if got := c.op.describe(); got != c.want {
+			t.Errorf("describe(%+v) = %q, want %q", *c.op, got, c.want)
+		}
+	}
 }
 
 func TestOrderStrategyConsumed(t *testing.T) {

@@ -30,10 +30,19 @@ type Op struct {
 	// instrumented memory access; see trace.CostUnit). 0 means one
 	// access, trace.CostUnit.
 	Cost uint64
-	// Desc, if set, labels the op in deadlock reports.
+	// Desc, if set, labels the op in deadlock reports: the operation
+	// ("lock", "sys read").
 	Desc string
-	// DescFn, if set, supplements Desc with dynamic state (e.g., the
-	// current holder of a contended mutex) when a deadlock is reported.
+	// Name, if set, names the object the op acts on ("m", a file name).
+	// Reports render "Desc Name"; keeping the two apart means building
+	// an op never concatenates a label nobody may read.
+	Name string
+	// Wedged marks an op failure injection hung for good; reports
+	// append " (wedged)" to the label.
+	Wedged bool
+	// DescFn, if set, supplements the label with dynamic state (e.g.,
+	// the current holder of a contended mutex) when a deadlock is
+	// reported.
 	DescFn func() string
 	// BlockedOn, if set, names the thread this op is currently waiting
 	// for (the holder of the contended resource); the deadlock detector
@@ -54,6 +63,15 @@ func (op *Op) describe() string {
 		return "?"
 	}
 	desc := op.Desc
+	if op.Name != "" {
+		if desc != "" {
+			desc += " "
+		}
+		desc += op.Name
+	}
+	if op.Wedged {
+		desc += " (wedged)"
+	}
 	if op.DescFn != nil {
 		desc += " " + op.DescFn()
 	}
@@ -220,7 +238,8 @@ func (t *Thread) Spawn(name string, fn func(*Thread)) *Thread {
 	var child *Thread
 	t.Point(&Op{
 		Kind: trace.KindSpawn,
-		Desc: "spawn " + name,
+		Desc: "spawn",
+		Name: name,
 		Effect: func(ctx *EffectCtx) {
 			child = ctx.Spawn(name, fn)
 		},
@@ -234,7 +253,8 @@ func (t *Thread) Join(other *Thread) {
 	t.Point(&Op{
 		Kind:    trace.KindJoin,
 		Obj:     uint64(uint32(other.id)),
-		Desc:    "join " + other.name,
+		Desc:    "join",
+		Name:    other.name,
 		Enabled: func() bool { return other.state == stateDone },
 	})
 }

@@ -44,16 +44,17 @@ func injectLock(t *sched.Thread, obj uint64, op *sched.Op) sched.InjectAction {
 	}
 	if act.Outcome == sched.InjectWedge {
 		op.Enabled = func() bool { return false }
-		op.Desc += " (wedged)"
+		op.Wedged = true
 		op.BlockedOn = nil
 	}
 	return act
 }
 
-// finishLock completes an injected acquisition on the thread goroutine.
-func finishLock(act sched.InjectAction, what string) {
+// finishLock completes an injected acquisition of op on the thread
+// goroutine.
+func finishLock(act sched.InjectAction, op *sched.Op) {
 	if act.Outcome == sched.InjectPanic {
-		panic("injected fault: " + what)
+		panic("injected fault: " + op.Desc + " " + op.Name)
 	}
 }
 
@@ -81,7 +82,8 @@ func (m *Mutex) Lock(t *sched.Thread) {
 	op := &sched.Op{
 		Kind:      trace.KindLock,
 		Obj:       m.id,
-		Desc:      "lock " + m.name,
+		Desc:      "lock",
+		Name:      m.name,
 		DescFn:    func() string { return "held by " + m.hname },
 		Enabled:   func() bool { return m.holder == trace.NoTID },
 		BlockedOn: func() trace.TID { return m.holder },
@@ -92,7 +94,7 @@ func (m *Mutex) Lock(t *sched.Thread) {
 	}
 	act := injectLock(t, m.id, op)
 	t.Point(op)
-	finishLock(act, "lock "+m.name)
+	finishLock(act, op)
 }
 
 // TryLock acquires the mutex iff it is currently free, reporting whether
@@ -102,7 +104,8 @@ func (m *Mutex) TryLock(t *sched.Thread) bool {
 	t.Point(&sched.Op{
 		Kind: trace.KindLock,
 		Obj:  m.id,
-		Desc: "trylock " + m.name,
+		Desc: "trylock",
+		Name: m.name,
 		Effect: func(ctx *sched.EffectCtx) {
 			if m.holder == trace.NoTID {
 				m.holder = ctx.Self().ID()
@@ -124,7 +127,8 @@ func (m *Mutex) Unlock(t *sched.Thread) {
 	t.Point(&sched.Op{
 		Kind:   trace.KindUnlock,
 		Obj:    m.id,
-		Desc:   "unlock " + m.name,
+		Desc:   "unlock",
+		Name:   m.name,
 		Effect: func(ctx *sched.EffectCtx) { m.holder = trace.NoTID; m.hname = "" },
 	})
 }
@@ -154,7 +158,8 @@ func (m *RWMutex) RLock(t *sched.Thread) {
 	t.Point(&sched.Op{
 		Kind:    trace.KindRLock,
 		Obj:     m.id,
-		Desc:    "rlock " + m.name,
+		Desc:    "rlock",
+		Name:    m.name,
 		Enabled: func() bool { return m.writer == trace.NoTID },
 		Effect:  func(*sched.EffectCtx) { m.readers++ },
 	})
@@ -168,7 +173,8 @@ func (m *RWMutex) RUnlock(t *sched.Thread) {
 	t.Point(&sched.Op{
 		Kind:   trace.KindRUnlock,
 		Obj:    m.id,
-		Desc:   "runlock " + m.name,
+		Desc:   "runlock",
+		Name:   m.name,
 		Effect: func(*sched.EffectCtx) { m.readers-- },
 	})
 }
@@ -178,14 +184,15 @@ func (m *RWMutex) Lock(t *sched.Thread) {
 	op := &sched.Op{
 		Kind:      trace.KindLock,
 		Obj:       m.id,
-		Desc:      "wlock " + m.name,
+		Desc:      "wlock",
+		Name:      m.name,
 		Enabled:   func() bool { return m.writer == trace.NoTID && m.readers == 0 },
 		BlockedOn: func() trace.TID { return m.writer },
 		Effect:    func(ctx *sched.EffectCtx) { m.writer = ctx.Self().ID() },
 	}
 	act := injectLock(t, m.id, op)
 	t.Point(op)
-	finishLock(act, "wlock "+m.name)
+	finishLock(act, op)
 }
 
 // Unlock releases a write acquisition.
@@ -196,7 +203,8 @@ func (m *RWMutex) Unlock(t *sched.Thread) {
 	t.Point(&sched.Op{
 		Kind:   trace.KindUnlock,
 		Obj:    m.id,
-		Desc:   "wunlock " + m.name,
+		Desc:   "wunlock",
+		Name:   m.name,
 		Effect: func(*sched.EffectCtx) { m.writer = trace.NoTID },
 	})
 }
@@ -230,7 +238,8 @@ func (c *Cond) Wait(t *sched.Thread, m *Mutex) {
 	t.Point(&sched.Op{
 		Kind: trace.KindWait,
 		Obj:  c.id,
-		Desc: "wait " + c.name,
+		Desc: "wait",
+		Name: c.name,
 		Effect: func(ctx *sched.EffectCtx) {
 			m.holder = trace.NoTID
 			m.hname = ""
@@ -261,7 +270,8 @@ func (c *Cond) Signal(t *sched.Thread, m *Mutex) {
 	t.Point(&sched.Op{
 		Kind: trace.KindSignal,
 		Obj:  c.id,
-		Desc: "signal " + c.name,
+		Desc: "signal",
+		Name: c.name,
 		Effect: func(ctx *sched.EffectCtx) {
 			if len(c.waiters) == 0 {
 				return // lost signal
@@ -279,7 +289,8 @@ func (c *Cond) Broadcast(t *sched.Thread, m *Mutex) {
 	t.Point(&sched.Op{
 		Kind: trace.KindBroadcast,
 		Obj:  c.id,
-		Desc: "broadcast " + c.name,
+		Desc: "broadcast",
+		Name: c.name,
 		Effect: func(ctx *sched.EffectCtx) {
 			ctx.Ev.Arg = uint64(len(c.waiters))
 			for _, w := range c.waiters {
@@ -310,13 +321,14 @@ func (s *Semaphore) Acquire(t *sched.Thread) {
 	op := &sched.Op{
 		Kind:    trace.KindSemAcquire,
 		Obj:     s.id,
-		Desc:    "sem-acquire " + s.name,
+		Desc:    "sem-acquire",
+		Name:    s.name,
 		Enabled: func() bool { return s.count > 0 },
 		Effect:  func(*sched.EffectCtx) { s.count-- },
 	}
 	act := injectLock(t, s.id, op)
 	t.Point(op)
-	finishLock(act, "sem-acquire "+s.name)
+	finishLock(act, op)
 }
 
 // Release increments the count.
@@ -324,7 +336,8 @@ func (s *Semaphore) Release(t *sched.Thread) {
 	t.Point(&sched.Op{
 		Kind:   trace.KindSemRelease,
 		Obj:    s.id,
-		Desc:   "sem-release " + s.name,
+		Desc:   "sem-release",
+		Name:   s.name,
 		Effect: func(*sched.EffectCtx) { s.count++ },
 	})
 }
@@ -354,7 +367,8 @@ func (b *Barrier) Await(t *sched.Thread) {
 	t.Point(&sched.Op{
 		Kind: trace.KindBarrier,
 		Obj:  b.id,
-		Desc: "barrier " + b.name,
+		Desc: "barrier",
+		Name: b.name,
 		Effect: func(ctx *sched.EffectCtx) {
 			ctx.Ev.Arg = b.gen
 			if len(b.waiting)+1 < b.parties {
@@ -370,7 +384,8 @@ func (b *Barrier) Await(t *sched.Thread) {
 					Kind: trace.KindWake,
 					Obj:  b.id,
 					Arg:  gen,
-					Desc: "barrier-release " + b.name,
+					Desc: "barrier-release",
+					Name: b.name,
 				})
 			}
 			b.waiting = nil
@@ -401,7 +416,8 @@ func (w *WaitGroup) Add(t *sched.Thread, delta int) {
 		Kind: trace.KindSemRelease,
 		Obj:  w.id,
 		Arg:  uint64(int64(delta)),
-		Desc: "wg-add " + w.name,
+		Desc: "wg-add",
+		Name: w.name,
 		Effect: func(*sched.EffectCtx) {
 			w.count += delta
 		},
@@ -419,7 +435,8 @@ func (w *WaitGroup) Wait(t *sched.Thread) {
 	t.Point(&sched.Op{
 		Kind:    trace.KindSemAcquire,
 		Obj:     w.id,
-		Desc:    "wg-wait " + w.name,
+		Desc:    "wg-wait",
+		Name:    w.name,
 		Enabled: func() bool { return w.count == 0 },
 	})
 }
@@ -448,7 +465,8 @@ func (o *Once) Do(t *sched.Thread, f func()) {
 	t.Point(&sched.Op{
 		Kind:    trace.KindLock,
 		Obj:     o.id,
-		Desc:    "once " + o.name,
+		Desc:    "once",
+		Name:    o.name,
 		Enabled: func() bool { return o.done || !o.running },
 		Effect: func(ctx *sched.EffectCtx) {
 			if !o.done {
@@ -465,7 +483,8 @@ func (o *Once) Do(t *sched.Thread, f func()) {
 	t.Point(&sched.Op{
 		Kind: trace.KindUnlock,
 		Obj:  o.id,
-		Desc: "once-done " + o.name,
+		Desc: "once-done",
+		Name: o.name,
 		Effect: func(*sched.EffectCtx) {
 			o.done = true
 			o.running = false

@@ -21,7 +21,8 @@ import (
 // internals: Restore reseeds from the world's creation seed and
 // fast-forwards the recorded number of draws, which reproduces the
 // exact stream position without depending on math/rand's unexported
-// state.
+// state. A snapshot at draw zero leaves the source uncreated, as in a
+// fresh world: the first draw seeds it.
 
 // snapshot wire: "VSNP" clock draws
 //
@@ -150,9 +151,12 @@ func (w *World) Restore(snap []byte) error {
 	}
 
 	w.clock = clock
-	w.rng = rand.New(rand.NewSource(w.seed))
-	for i := uint64(0); i < draws; i++ {
-		w.rng.Uint64()
+	w.rng = nil
+	if draws > 0 {
+		w.rng = rand.New(rand.NewSource(w.seed))
+		for i := uint64(0); i < draws; i++ {
+			w.rng.Uint64()
+		}
 	}
 	w.draws = draws
 	for name, data := range files {

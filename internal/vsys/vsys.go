@@ -97,8 +97,8 @@ type World struct {
 
 	clock uint64
 	seed  int64
-	draws uint64 // random values drawn, for snapshot fast-forward
-	rng   *rand.Rand
+	draws uint64     // random values drawn, for snapshot fast-forward
+	rng   *rand.Rand // created on the first draw; replay never draws
 	fs    map[string]*file
 	qs    map[string]*Queue
 }
@@ -107,7 +107,6 @@ type World struct {
 func NewWorld(seed int64) *World {
 	return &World{
 		seed: seed,
-		rng:  rand.New(rand.NewSource(seed)),
 		fs:   make(map[string]*file),
 		qs:   make(map[string]*Queue),
 	}
@@ -116,6 +115,9 @@ func NewWorld(seed int64) *World {
 // randU64 draws from the world's random source, counting draws so a
 // snapshot can record the stream position.
 func (w *World) randU64() uint64 {
+	if w.rng == nil {
+		w.rng = rand.New(rand.NewSource(w.seed))
+	}
 	w.draws++
 	return w.rng.Uint64()
 }
@@ -212,7 +214,7 @@ func inject(t *sched.Thread, call uint64, op *sched.Op) sched.InjectAction {
 	}
 	if act.Outcome == sched.InjectWedge {
 		op.Enabled = func() bool { return false }
-		op.Desc += " (wedged)"
+		op.Wedged = true
 	}
 	return act
 }
@@ -325,7 +327,8 @@ func (w *World) Open(t *sched.Thread, name string) *FD {
 		Kind: trace.KindSyscall,
 		Obj:  CallOpen,
 		Arg:  fd.obj,
-		Desc: "sys open " + name,
+		Desc: "sys open",
+		Name: name,
 		Cost: 8 * trace.CostUnit,
 		Effect: func(*sched.EffectCtx) {
 			f := w.fs[name]
@@ -348,7 +351,8 @@ func (w *World) Unlink(t *sched.Thread, name string) {
 		Kind: trace.KindSyscall,
 		Obj:  CallUnlink,
 		Arg:  hashName(name),
-		Desc: "sys unlink " + name,
+		Desc: "sys unlink",
+		Name: name,
 		Cost: 8 * trace.CostUnit,
 		Effect: func(*sched.EffectCtx) {
 			if f := w.fs[name]; f != nil {
@@ -384,7 +388,8 @@ func (fd *FD) Write(t *sched.Thread, p []byte) int {
 		Kind: trace.KindSyscall,
 		Obj:  CallWrite,
 		Arg:  uint64(n),
-		Desc: "sys write " + fd.f.name,
+		Desc: "sys write",
+		Name: fd.f.name,
 		Cost: 8 * trace.CostUnit,
 	}
 	act := inject(t, CallWrite, op)
@@ -416,7 +421,8 @@ func (fd *FD) Read(t *sched.Thread, p []byte) int {
 		Kind: trace.KindSyscall,
 		Obj:  CallRead,
 		Arg:  uint64(len(p)),
-		Desc: "sys read " + fd.f.name,
+		Desc: "sys read",
+		Name: fd.f.name,
 		Cost: 8 * trace.CostUnit,
 	}
 	// An injected I/O error returns no bytes and — because the failure
@@ -450,7 +456,8 @@ func (fd *FD) Close(t *sched.Thread) {
 		Kind:   trace.KindSyscall,
 		Obj:    CallClose,
 		Arg:    fd.obj,
-		Desc:   "sys close " + fd.f.name,
+		Desc:   "sys close",
+		Name:   fd.f.name,
 		Cost:   4 * trace.CostUnit,
 		Effect: func(*sched.EffectCtx) { fd.open = false },
 	}
@@ -489,7 +496,8 @@ func (q *Queue) Send(t *sched.Thread, msg []byte) {
 		Kind: trace.KindSyscall,
 		Obj:  CallSend,
 		Arg:  q.obj,
-		Desc: "sys send " + q.name,
+		Desc: "sys send",
+		Name: q.name,
 		Cost: 8 * trace.CostUnit,
 	}
 	act := inject(t, CallSend, op)
@@ -516,7 +524,8 @@ func (q *Queue) Recv(t *sched.Thread) (msg []byte, ok bool) {
 		Kind: trace.KindSyscall,
 		Obj:  CallRecv,
 		Arg:  q.obj,
-		Desc: "sys recv " + q.name,
+		Desc: "sys recv",
+		Name: q.name,
 		Cost: 8 * trace.CostUnit,
 		Enabled: func() bool {
 			if w.mode == Replay && w.hasReplayInput(t.ID(), CallRecv) {
@@ -560,7 +569,8 @@ func (q *Queue) Close(t *sched.Thread) {
 		Kind:   trace.KindSyscall,
 		Obj:    CallCloseQueue,
 		Arg:    q.obj,
-		Desc:   "sys close-queue " + q.name,
+		Desc:   "sys close-queue",
+		Name:   q.name,
 		Cost:   4 * trace.CostUnit,
 		Effect: func(*sched.EffectCtx) { q.closed = true },
 	}
