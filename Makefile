@@ -82,9 +82,10 @@ fuzz-short:
 ## fast path's per-app steps/sec, handoffs/step, and allocs/step
 ## before vs after (at each -procs setting), the record path's
 ## global-log vs per-thread-log fleet throughput across the -procs
-## sweep, the always-on record path's epoch-ring-off vs epoch-ring-on
-## before/after, and the replay search's prefix-snapshots-off vs -on
-## step-work comparison per bug and policy — into BENCH_pr10.json.
+## sweep, and the always-on record path's epoch-ring-off vs
+## epoch-ring-on before/after — into BENCH_pr10.json. A -procs value
+## above the host's CPU count is warned about and its rows are marked
+## above_num_cpu.
 bench:
 	$(GO) test -run TestSchedGrantLoopAllocFree -bench . -benchtime 1s .
 	$(GO) run ./cmd/presperf -out BENCH_pr10.json -procs 1,2,4
@@ -97,7 +98,9 @@ bench-compare:
 
 ## docs-drift: every pres_-prefixed metric name registered anywhere in
 ## the source (internal/obs wiring in sched/core/harness/cmd) must have
-## a row in OBSERVABILITY.md, and every CLI flag README.md mentions in
+## a row in OBSERVABILITY.md, every pres_ metric row in OBSERVABILITY.md
+## must name a "pres_..." literal in non-test code under internal/ or
+## cmd/, and every CLI flag README.md mentions in
 ## inline code (`-flag`) must be registered by some tool in cmd/; a
 ## metric or flag documented without code (or vice versa) fails the
 ## gate. FLAG_ALLOW lists README tokens that look like flags but are
@@ -112,6 +115,12 @@ docs-drift:
 			echo "docs-drift: metric $$n is registered in code but missing from OBSERVABILITY.md"; missing=1; \
 		fi; \
 	done; \
+	rows=$$(grep -oE '^\| `pres_[a-z_]+' OBSERVABILITY.md | sed 's/^| `//' | sort -u); \
+	for n in $$rows; do \
+		if ! echo "$$names" | grep -qx "$$n"; then \
+			echo "docs-drift: metric $$n is documented in OBSERVABILITY.md but no non-test code registers it"; missing=1; \
+		fi; \
+	done; \
 	flags=$$(grep -ohE '[`]-[a-z][a-z0-9-]*' README.md | sed 's/^..//' | sort -u); \
 	for f in $$flags; do \
 		case " $(FLAG_ALLOW) " in *" $$f "*) continue;; esac; \
@@ -120,4 +129,4 @@ docs-drift:
 		fi; \
 	done; \
 	if [ $$missing -ne 0 ]; then exit 1; fi; \
-	echo "docs-drift: $$(echo "$$names" | wc -l) pres_ metrics and $$(echo "$$flags" | wc -l) README flags all in sync"
+	echo "docs-drift: $$(echo "$$names" | wc -l) pres_ metrics, $$(echo "$$rows" | wc -l) OBSERVABILITY.md rows and $$(echo "$$flags" | wc -l) README flags all in sync"

@@ -22,18 +22,13 @@
 //     epoch ring off (classic whole-execution log) vs on (bounded ring
 //     with periodic world checkpoints) — real steps/sec, modelled
 //     overhead, and the retained-window size each way.
-//  6. the replay search with prefix snapshots off vs on
-//     (ReplayOptions.PrefixSnapshots): per bug, per policy (the paper's
-//     feedback search and the pure-directed frontier walk), a seed scan
-//     finds a buggy production recording and both searches reproduce it
-//     at Workers: 1 — identical trajectories by construction, so the
-//     comparison is pure work: total steps, the fast-forwarded prefix
-//     steps restores skipped, the enforced remainder, and the snapshot
-//     cache's hit/miss/byte/eviction counters.
 //
 // Sections 3 and 4 run once per -procs setting (comma-separated
 // GOMAXPROCS values): section 3 repeats its per-app before/after runs
 // at each setting, section 4 sweeps its recording fleet across them.
+// A setting above the host's CPU count is oversubscribed: it measures
+// contention, not scaling, so presperf warns about it and marks the
+// rows it produced with above_num_cpu.
 //
 // The report header records the host the numbers were taken on
 // (GOMAXPROCS, CPU count, OS/arch, Go version, hostname).
@@ -63,7 +58,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/sched"
-	"repro/internal/search"
 	"repro/internal/sketch"
 	"repro/internal/trace"
 )
@@ -92,6 +86,7 @@ type harnessResult struct {
 type schedResult struct {
 	App                   string  `json:"app"`
 	Procs                 int     `json:"gomaxprocs,omitempty"`
+	AboveNumCPU           bool    `json:"above_num_cpu,omitempty"`
 	BeforeSteps           uint64  `json:"before_steps"`
 	AfterSteps            uint64  `json:"after_steps"`
 	BeforeStepsPerSec     float64 `json:"before_steps_per_sec"`
@@ -106,6 +101,7 @@ type schedResult struct {
 
 type recordSweepPoint struct {
 	Procs                int     `json:"gomaxprocs"`
+	AboveNumCPU          bool    `json:"above_num_cpu,omitempty"`
 	GlobalStepsPerSec    float64 `json:"global_steps_per_sec"`
 	PerThreadStepsPerSec float64 `json:"per_thread_steps_per_sec"`
 }
@@ -125,31 +121,6 @@ type recordResult struct {
 	Sweep            []recordSweepPoint `json:"sweep"`
 	GlobalSpeedup    float64            `json:"gomaxprocs_speedup_global"`
 	PerThreadSpeedup float64            `json:"gomaxprocs_speedup_per_thread"`
-}
-
-// replaySearchResult is one (bug, policy) cell of the snapshot-tree
-// comparison: the same Workers:1 search with prefix snapshots off and
-// on. The trajectories are pinned identical (the snapshot property
-// tests), so OffSteps == OnSteps and the work saved is exactly
-// OnFastForward — prefix steps replayed mechanically from a snapshot
-// instead of re-searched. StepReduction = OffSteps / OnEnforced is the
-// bench's headline: how much search work one reproduction no longer
-// re-executes.
-type replaySearchResult struct {
-	App             string  `json:"app"`
-	Scheme          string  `json:"scheme"`
-	Policy          string  `json:"policy"`
-	Reproduced      bool    `json:"reproduced"`
-	Attempts        int     `json:"attempts"`
-	OffSteps        uint64  `json:"off_steps"`
-	OnSteps         uint64  `json:"on_steps"`
-	OnFastForward   uint64  `json:"on_fastforward_steps"`
-	OnEnforced      uint64  `json:"on_enforced_steps"`
-	StepReduction   float64 `json:"step_reduction"`
-	SnapshotHits    int     `json:"snapshot_hits"`
-	SnapshotMisses  int     `json:"snapshot_misses"`
-	SnapshotBytes   int64   `json:"snapshot_bytes"`
-	SnapshotEvicted int     `json:"snapshot_evicted"`
 }
 
 // epochRecordResult is the always-on record path, epoch ring off vs
@@ -174,19 +145,18 @@ type epochRecordResult struct {
 }
 
 type report struct {
-	Tool         string               `json:"tool"`
-	GoMaxProcs   int                  `json:"gomaxprocs"`
-	NumCPU       int                  `json:"num_cpu"`
-	GoVersion    string               `json:"go_version"`
-	GOOS         string               `json:"goos"`
-	GOARCH       string               `json:"goarch"`
-	Hostname     string               `json:"hostname,omitempty"`
-	Encode       []encodeResult       `json:"encode"`
-	Harness      []harnessResult      `json:"harness"`
-	Sched        []schedResult        `json:"sched"`
-	Record       []recordResult       `json:"record"`
-	EpochRing    []epochRecordResult  `json:"epoch_ring"`
-	ReplaySearch []replaySearchResult `json:"replay_search"`
+	Tool       string              `json:"tool"`
+	GoMaxProcs int                 `json:"gomaxprocs"`
+	NumCPU     int                 `json:"num_cpu"`
+	GoVersion  string              `json:"go_version"`
+	GOOS       string              `json:"goos"`
+	GOARCH     string              `json:"goarch"`
+	Hostname   string              `json:"hostname,omitempty"`
+	Encode     []encodeResult      `json:"encode"`
+	Harness    []harnessResult     `json:"harness"`
+	Sched      []schedResult       `json:"sched"`
+	Record     []recordResult      `json:"record"`
+	EpochRing  []epochRecordResult `json:"epoch_ring"`
 }
 
 // countWriter measures encoded size without retaining bytes.
@@ -211,6 +181,11 @@ func main() {
 	procsList, err := parseProcs(*procsFlag)
 	if err != nil {
 		log.Fatalf("-procs %q: %v", *procsFlag, err)
+	}
+	for _, p := range procsList {
+		if p > runtime.NumCPU() {
+			log.Printf("warning: -procs %d exceeds NumCPU %d: its rows measure contention, not scaling (marked above_num_cpu)", p, runtime.NumCPU())
+		}
 	}
 
 	rep := report{
@@ -284,6 +259,7 @@ func main() {
 		for _, prog := range apps.All() {
 			r := timeSched(prog, *schedScale, *reps)
 			r.Procs = p
+			r.AboveNumCPU = p > runtime.NumCPU()
 			rep.Sched = append(rep.Sched, r)
 			fmt.Printf("sched %-13s @%dprocs %6.2fx steps/s (%.2fM -> %.2fM)  handoffs/step %.3f -> %.3f  allocs/step %.2f -> %.2f  fastpath %.0f%%\n",
 				r.App, p, r.Speedup, r.BeforeStepsPerSec/1e6, r.AfterStepsPerSec/1e6,
@@ -343,43 +319,6 @@ func main() {
 			r.App, r.Scheme, r.ClassicStepsPerSec/1e6, r.RingStepsPerSec/1e6, r.RingCostPct,
 			r.ClassicOverheadPct, r.RingOverheadPct,
 			r.WindowEntries, r.TotalEntries, r.Epochs, r.Evicted, r.Checkpoints)
-	}
-
-	// Replay search, prefix snapshots off vs on. pbzip2-order runs the
-	// feedback policy only: its pure-directed walk exhausts the attempt
-	// budget without reproducing, which measures nothing.
-	for _, rc := range []struct {
-		bug      string
-		scheme   sketch.Scheme
-		directed bool
-	}{
-		{"mysql-169", sketch.SYNC, true},
-		{"mysql-791", sketch.SYNC, true},
-		{"apache-25520", sketch.SYNC, true},
-		{"cherokee-326", sketch.SYNC, true},
-		{"barnes-order", sketch.FUNC, true},
-		{"transmission-1818", sketch.SYNC, true},
-		{"pbzip2-order", sketch.SYS, false},
-	} {
-		rec := recordBuggy(rc.bug, rc.scheme)
-		pols := []struct {
-			name string
-			pol  search.Policy
-		}{{"feedback", search.FeedbackDirected{}}}
-		if rc.directed {
-			pols = append(pols, struct {
-				name string
-				pol  search.Policy
-			}{"directed", search.PureDirected{}})
-		}
-		for _, pc := range pols {
-			r := timeReplaySearch(rc.bug, rc.scheme, pc.name, pc.pol, rec)
-			rep.ReplaySearch = append(rep.ReplaySearch, r)
-			fmt.Printf("replay-search %-18s %-4s %-8s repro=%v attempts=%d  steps %d -> enforced %d (ff %d)  reduction %.2fx  snaps hit/miss %d/%d  %0.1f MiB (%d evicted)\n",
-				r.App, r.Scheme, r.Policy, r.Reproduced, r.Attempts,
-				r.OffSteps, r.OnEnforced, r.OnFastForward, r.StepReduction,
-				r.SnapshotHits, r.SnapshotMisses, float64(r.SnapshotBytes)/(1<<20), r.SnapshotEvicted)
-		}
 	}
 
 	f, err := os.Create(*out)
@@ -566,6 +505,7 @@ func timeRecordFleet(prog *appkit.Program, scheme sketch.Scheme, scale, reps int
 		runtime.GOMAXPROCS(procs)
 		r.Sweep = append(r.Sweep, recordSweepPoint{
 			Procs:                procs,
+			AboveNumCPU:          procs > runtime.NumCPU(),
 			GlobalStepsPerSec:    bestOf(opts),
 			PerThreadStepsPerSec: bestOf(shardOpts),
 		})
@@ -637,65 +577,6 @@ func parseProcs(s string) ([]int, error) {
 		out = append(out, p)
 	}
 	return out, nil
-}
-
-// recordBuggy scans production seeds until the target bug manifests —
-// the same discipline the replay tests use to obtain a recording worth
-// searching from.
-func recordBuggy(bug string, scheme sketch.Scheme) *core.Recording {
-	prog, ok := apps.ProgramForBug(bug)
-	if !ok {
-		log.Fatalf("%s not in corpus", bug)
-	}
-	for seed := int64(0); seed < 500; seed++ {
-		rec := core.Record(prog, core.Options{
-			Scheme:       scheme,
-			Processors:   4,
-			ScheduleSeed: seed,
-			WorldSeed:    1,
-			MaxSteps:     200_000,
-		})
-		if rec.BugFailure() != nil {
-			return rec
-		}
-	}
-	log.Fatalf("%s: bug never manifested in 500 production seeds", bug)
-	return nil
-}
-
-// timeReplaySearch runs one bug's Workers:1 reproduction search twice —
-// prefix snapshots off, then on — and reports the step-work comparison.
-// The off run's trajectory is the baseline; the property tests pin the
-// on run to the identical trajectory, so OffSteps == OnSteps whenever
-// both reproduce and the only delta is how many of those steps were
-// fast-forwarded from a snapshot instead of re-searched.
-func timeReplaySearch(bug string, scheme sketch.Scheme, polName string, pol search.Policy, rec *core.Recording) replaySearchResult {
-	prog, _ := apps.ProgramForBug(bug)
-	base := core.ReplayOptions{
-		Feedback: true, Policy: pol, Oracle: core.MatchBugID(bug), Workers: 1,
-	}
-	off := core.Replay(prog, rec, base)
-	on := base
-	on.PrefixSnapshots = true
-	got := core.Replay(prog, rec, on)
-
-	r := replaySearchResult{
-		App: bug, Scheme: scheme.String(), Policy: polName,
-		Reproduced:      off.Reproduced && got.Reproduced,
-		Attempts:        got.Attempts,
-		OffSteps:        off.Stats.Steps,
-		OnSteps:         got.Stats.Steps,
-		OnFastForward:   got.Stats.FastForwardSteps,
-		OnEnforced:      got.Stats.Steps - got.Stats.FastForwardSteps,
-		SnapshotHits:    got.Stats.SnapshotHits,
-		SnapshotMisses:  got.Stats.SnapshotMisses,
-		SnapshotBytes:   got.Stats.SnapshotBytes,
-		SnapshotEvicted: got.Stats.SnapshotEvicted,
-	}
-	if r.OnEnforced > 0 {
-		r.StepReduction = float64(r.OffSteps) / float64(r.OnEnforced)
-	}
-	return r
 }
 
 // timeMatrix times one experiment's full matrix at -j 1 and

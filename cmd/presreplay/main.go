@@ -42,8 +42,6 @@ func main() {
 	verify := flag.Int("verify", 3, "re-replays of the captured order after success")
 	simplify := flag.Bool("simplify", true, "minimize context switches in the captured schedule")
 	workers := flag.Int("workers", 1, "work-stealing attempt workers (1 = exact sequential search)")
-	prefixSnaps := flag.Bool("prefix-snapshots", false, "resume child attempts from shared-prefix snapshots instead of re-executing from step 0")
-	snapBudget := flag.Int64("snapshot-budget", 0, "prefix-snapshot cache budget in bytes (0 = 64 MiB default)")
 	adaptive := flag.Bool("adaptive", false, "let the worker pool retune itself from measured occupancy")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound on the search (0 = none); SIGINT also cancels gracefully")
 	cacheSize := flag.Int("search-cache", 0, "schedule-cache capacity in attempts (0 disables, -1 = default size)")
@@ -122,14 +120,12 @@ func main() {
 		oracle = repro.MatchBugID(*bugID)
 	}
 	ropts := repro.ReplayOptions{
-		Feedback:            !*noFeedback,
-		MaxAttempts:         *maxAttempts,
-		Oracle:              oracle,
-		Workers:             *workers,
-		AdaptiveWorkers:     *adaptive,
-		FromCheckpoint:      *fromCP,
-		PrefixSnapshots:     *prefixSnaps,
-		SnapshotBudgetBytes: *snapBudget,
+		Feedback:        !*noFeedback,
+		MaxAttempts:     *maxAttempts,
+		Oracle:          oracle,
+		Workers:         *workers,
+		AdaptiveWorkers: *adaptive,
+		FromCheckpoint:  *fromCP,
 	}
 	var cache *repro.SearchCache
 	if *cacheSize != 0 {
@@ -210,12 +206,6 @@ func main() {
 		fmt.Printf("  scheduler: %d steps, %d handoffs (%.3f/step), %d fast-path steps\n",
 			res.Stats.Steps, res.Stats.Handoffs,
 			float64(res.Stats.Handoffs)/float64(res.Stats.Steps), res.Stats.FastPathSteps)
-	}
-	if *prefixSnaps {
-		st := res.Stats
-		fmt.Printf("  snapshots: %d hits, %d misses, %d captured (%d bytes, %d evicted), %d/%d steps fast-forwarded\n",
-			st.SnapshotHits, st.SnapshotMisses, st.SnapshotCaptures,
-			st.SnapshotBytes, st.SnapshotEvicted, st.FastForwardSteps, st.Steps)
 	}
 	for _, rc := range res.RootCauses {
 		fmt.Printf("  root-cause race: %v\n", rc)

@@ -58,17 +58,13 @@ type attemptOutcome struct {
 	steps     uint64
 	handoffs  uint64
 	fastSteps uint64
-	// Prefix-snapshot accounting (snapshot.go): restored marks an
-	// attempt that resumed from a parent snapshot, ffSteps its forced
-	// fast-forward prefix length, snapMiss a probe that found no usable
-	// snapshot; captures/capBytes/evicted tally the attempt's own
-	// stores into the snapshot cache.
-	restored bool
-	snapMiss bool
-	ffSteps  uint64
-	captures int
-	capBytes int64
-	evicted  int
+}
+
+// raceDetector is the detector surface runAttempt needs: observation
+// plus the accumulated pairs.
+type raceDetector interface {
+	sched.Observer
+	Pairs() []race.Pair
 }
 
 // cancelNone is the sentinel for "no reproduction known yet" in the
@@ -102,11 +98,8 @@ func (c *cancellableStrategy) Pick(view *sched.PickView) (trace.TID, bool) {
 // the given flip set, with the race detector watching for feedback.
 // cancel, when non-nil, lets a concurrent earlier success abort this
 // attempt between scheduling points; ctx cancellation aborts it the
-// same way, via the scheduler's own context poll. sp, when non-nil,
-// enrolls the attempt in the snapshot tree (snapshot.go): it tries to
-// resume from a parent prefix snapshot and captures its own snapshots
-// for future children.
-func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs flipSet, rng *rand.Rand, opts ReplayOptions, idx int64, cancel *atomic.Int64, sp *snapPlan) attemptOutcome {
+// same way, via the scheduler's own context poll.
+func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs flipSet, rng *rand.Rand, opts ReplayOptions, idx int64, cancel *atomic.Int64) attemptOutcome {
 	start := time.Now()
 	world := vsys.NewWorld(rec.Options.WorldSeed)
 	entries := rec.Sketch.Entries
@@ -152,47 +145,6 @@ func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs fl
 		strat = rs
 		observers = append(observers, rs)
 	}
-	var sn *snapshotter
-	var fk *forkStrategy
-	snapMiss := false
-	if sp != nil && !fromCP && rng == nil {
-		digest := trace.NewDigest()
-		var base uint64
-		if sp.parentKey != "" && sp.bound > 0 && len(fs.flips) > 0 {
-			// The flip this child adds to its parent's set is the last one
-			// in discovery order; only snapshots from strictly before it
-			// could have engaged are prefix-equivalent (see snapshot.go).
-			nf := fs.flips[len(fs.flips)-1]
-			snap := sp.cache.Best(sp.parentKey, sp.bound, func(s *search.Snapshot) bool {
-				st, ok := s.State.(*snapState)
-				return ok && st.dir.executed[nf.holdTID]+1 < nf.holdCount
-			})
-			if snap != nil {
-				if st := snap.State.(*snapState); st != nil {
-					if rdet, _ := cloneDetector(st.det); rdet != nil {
-						installDirState(dir, st.dir)
-						fk = &forkStrategy{
-							dir: dir, world: world, det: rdet,
-							order: snap.Order, boundary: snap.Step,
-							wantDigest: snap.EventDigest, wantWorld: snap.WorldDigest,
-							digest: digest,
-						}
-						det = rdet
-						strat = fk
-						// The detector hangs off fk, which feeds it suffix
-						// events only; registering it directly would replay
-						// the prefix into a clone that already contains it.
-						observers = []sched.Observer{dir, fk, cap}
-						base = snap.Step
-					}
-				}
-			} else {
-				snapMiss = true
-			}
-		}
-		sn = newSnapshotter(world, cap, dir, det, sp, digest, base)
-		observers = append(observers, sn)
-	}
 	if cancel != nil {
 		strat = &cancellableStrategy{inner: strat, idx: idx, cancel: cancel}
 	}
@@ -226,19 +178,6 @@ func runAttempt(ctx context.Context, prog *appkit.Program, rec *Recording, fs fl
 		if rs.mismatch {
 			out.note = "checkpoint boundary mismatch: recording and prefix re-execution disagree"
 		}
-	}
-	out.snapMiss = snapMiss
-	if fk != nil {
-		out.restored = true
-		out.ffSteps = fk.boundary
-		if fk.mismatch {
-			out.note = "snapshot boundary mismatch: parent prefix and forced re-execution disagree"
-		}
-	}
-	if sn != nil {
-		out.captures = sn.captures
-		out.capBytes = sn.capBytes
-		out.evicted = sn.evicted
 	}
 	switch {
 	case res.Failure == nil:
@@ -294,14 +233,10 @@ type searchState struct {
 	feedback bool
 	budget   int
 	maxW     int
-	digest   uint64 // schedule-cache / snapshot-key context digest
+	digest   uint64 // schedule-cache context digest
 	failTID  trace.TID
 	frontier *search.Frontier[replayNode]
-	// snaps is the prefix-snapshot cache (nil unless PrefixSnapshots is
-	// on, feedback is in play and no recording checkpoint overrides it).
-	// It carries its own lock; workers probe and store directly.
-	snaps  *search.SnapshotCache
-	cancel atomic.Int64
+	cancel   atomic.Int64
 	// likelyWinner is the lowest in-flight attempt whose cache entry
 	// says it reproduced last time (re-executing to capture a fresh
 	// order); dispatch pauses past it rather than speculate on attempts
@@ -402,16 +337,7 @@ func (s *searchState) Run(ctx context.Context, worker, idx int, job any) {
 	if s.maxW > 1 {
 		cancel = &s.cancel
 	}
-	var sp *snapPlan
-	if s.snaps != nil && j.directed {
-		sp = &snapPlan{cache: s.snaps, parentKey: j.nd.parentKey, bound: j.nd.bound}
-		if len(j.nd.fs.flips) < maxFlipDepth {
-			// Attempts at the depth cap never spawn children, so their
-			// prefixes are never restored from: don't pay to capture them.
-			sp.selfKey = snapKey(s.digest, canonicalFlipKey(j.nd.fs))
-		}
-	}
-	j.out = runAttempt(ctx, s.prog, s.rec, j.nd.fs, rng, s.opts, int64(j.idx), cancel, sp)
+	j.out = runAttempt(ctx, s.prog, s.rec, j.nd.fs, rng, s.opts, int64(j.idx), cancel)
 	if j.out.bug {
 		// Publish the reproduction immediately (before its canonical
 		// turn): in-flight attempts with higher indices poll this word
@@ -474,32 +400,6 @@ func (s *searchState) Commit(idx int, job any) bool {
 	r.Stats.Steps += j.out.steps
 	r.Stats.Handoffs += j.out.handoffs
 	r.Stats.FastPathSteps += j.out.fastSteps
-	if s.snaps != nil {
-		if j.out.restored {
-			r.Stats.SnapshotHits++
-		}
-		if j.out.snapMiss {
-			r.Stats.SnapshotMisses++
-		}
-		r.Stats.SnapshotCaptures += j.out.captures
-		r.Stats.SnapshotEvicted += j.out.evicted
-		r.Stats.SnapshotBytes += j.out.capBytes
-		r.Stats.FastForwardSteps += j.out.ffSteps
-		if m := s.opts.Metrics; m != nil {
-			if j.out.restored {
-				m.Counter("pres_search_snapshot_hits_total").Inc()
-			}
-			if j.out.snapMiss {
-				m.Counter("pres_search_snapshot_misses_total").Inc()
-			}
-			if j.out.capBytes > 0 {
-				m.Counter("pres_search_snapshot_bytes_total").Add(uint64(j.out.capBytes))
-			}
-			if j.out.evicted > 0 {
-				m.Counter("pres_search_snapshot_evicted_total").Add(uint64(j.out.evicted))
-			}
-		}
-	}
 	s.opts.reportAttempt(r.Attempts, j.directed, j.nd.fs, j.out)
 	if j.out.bug {
 		r.Reproduced = true

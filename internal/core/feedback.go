@@ -17,14 +17,10 @@ import (
 // replayNode is one point in the directed search tree: a flip set plus
 // the race keys its parent attempt observed — feedback prioritizes races
 // a node's deviation *created*, which localize the next flip to the
-// perturbed neighborhood. With PrefixSnapshots on, parentKey names the
-// parent attempt's snapshot-cache prefix and bound upper-bounds the
-// snapshot probe at the added flip's first access (snapshot.go).
+// perturbed neighborhood.
 type replayNode struct {
 	fs          flipSet
 	parentRaces map[race.PairKey]bool
-	parentKey   string
-	bound       uint64
 }
 
 // appendChildren ranks a failed directed attempt's races and pushes
@@ -45,10 +41,6 @@ func (s *searchState) appendChildren(nd replayNode, out attemptOutcome) int {
 		return 0 // deep chains are noise; let siblings run
 	}
 	failTID := s.failTID
-	var pk string
-	if s.snaps != nil {
-		pk = snapKey(s.digest, canonicalFlipKey(nd.fs))
-	}
 	// The races this attempt observed become its children's parentRaces;
 	// built on the first push, so a fully deduplicated commit skips it.
 	var myRaces map[race.PairKey]bool
@@ -105,8 +97,7 @@ func (s *searchState) appendChildren(nd replayNode, out attemptOutcome) int {
 					myRaces[r.Key()] = true
 				}
 			}
-			s.frontier.Push(replayNode{fs: child, parentRaces: myRaces,
-				parentKey: pk, bound: p.FirstSeq}, len(child.flips))
+			s.frontier.Push(replayNode{fs: child, parentRaces: myRaces}, len(child.flips))
 			added++
 		}
 	}
@@ -123,8 +114,7 @@ const maxFlipDepth = 4
 // comparable value — the dedup set's key: the set's size and its flips
 // in sorted order, zero-padded to maxFlipDepth. Two sets share an ID
 // exactly when they share a trace.FlipSetKey string, which is built
-// only where a string is needed (the schedule cache and snapshot
-// keys).
+// only where a string is needed (the schedule cache key).
 type flipSetID struct {
 	n   int
 	ids [maxFlipDepth]trace.FlipID
@@ -159,8 +149,7 @@ func flipIDLess(a, b trace.FlipID) bool {
 }
 
 // canonicalFlipKey is the order-independent identity of a flip set as
-// a string — the schedule cache's and the snapshot cache's flip-set
-// component. Distinct sets never collide (trace.FlipSetKey is
+// a string — the schedule cache's flip-set component. Distinct sets never collide (trace.FlipSetKey is
 // injective; FuzzFlipSetKey pins it).
 func canonicalFlipKey(fs flipSet) string {
 	if len(fs.flips) == 0 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/appkit"
 	"repro/internal/apps"
 	"repro/internal/sched"
 	"repro/internal/sketch"
@@ -46,18 +47,45 @@ func TestPropEveryBuggyRecordingReplays(t *testing.T) {
 	t.Logf("verified %d independent recordings", checked)
 }
 
-// TestPropReplayDeterministic: Replay is a pure function of the
-// recording — two invocations give identical attempt counts and orders.
+// TestPropReplayDeterministic: a Workers:1 Replay is a pure function of
+// the recording and options — two invocations return reflect.DeepEqual
+// results: attempts, captured order, root causes and every search
+// statistic. Checked on the atomicity micro-program, across the
+// corpus's epochCases (app shapes and sketch densities), and under the
+// lockset-detector ablation, whose feedback source differs.
 func TestPropReplayDeterministic(t *testing.T) {
-	prog := atomBugProg(3)
-	rec := recordBuggy(t, prog, sketch.SYNC)
-	a := Replay(prog, rec, ReplayOptions{Feedback: true, Oracle: MatchBugID("atom-bug")})
-	b := Replay(prog, rec, ReplayOptions{Feedback: true, Oracle: MatchBugID("atom-bug")})
-	if a.Attempts != b.Attempts || a.Reproduced != b.Reproduced {
-		t.Fatalf("replay nondeterministic: %d/%v vs %d/%v", a.Attempts, a.Reproduced, b.Attempts, b.Reproduced)
+	type detCase struct {
+		name string
+		prog *appkit.Program
+		rec  *Recording
+		opts ReplayOptions
 	}
-	if !reflect.DeepEqual(a.Order, b.Order) {
-		t.Fatal("captured orders differ between identical replays")
+	atom := atomBugProg(3)
+	cases := []detCase{{"atom-bug", atom, recordBuggy(t, atom, sketch.SYNC),
+		ReplayOptions{Feedback: true, Oracle: MatchBugID("atom-bug"), Workers: 1}}}
+	if !testing.Short() {
+		for _, c := range epochCases {
+			prog, ok := apps.ProgramForBug(c.bug)
+			if !ok {
+				t.Fatalf("%s: program missing", c.bug)
+			}
+			cases = append(cases, detCase{c.bug + "/" + c.scheme.String(), prog, recordBuggy(t, prog, c.scheme),
+				ReplayOptions{Feedback: true, Oracle: MatchBugID(c.bug), Workers: 1}})
+		}
+		lu, ok := apps.ProgramForBug("lu-atomicity")
+		if !ok {
+			t.Fatal("lu-atomicity missing")
+		}
+		cases = append(cases, detCase{"lu-atomicity/RW/lockset", lu, recordBuggy(t, lu, sketch.RW),
+			ReplayOptions{Feedback: true, Oracle: MatchBugID("lu-atomicity"), Workers: 1, UseLockset: true}})
+	}
+	for _, c := range cases {
+		a := Replay(c.prog, c.rec, c.opts)
+		b := Replay(c.prog, c.rec, c.opts)
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: replay nondeterministic:\na: %+v\nb: %+v", c.name, a, b)
+		}
+		t.Logf("%s: %d attempts, reproduced=%v", c.name, a.Attempts, a.Reproduced)
 	}
 }
 

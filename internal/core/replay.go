@@ -99,23 +99,6 @@ type ReplayOptions struct {
 	// execution. Ignored (with no effect on the search trajectory) when
 	// the recording carries no checkpoint. Overrides SketchTail.
 	FromCheckpoint bool
-	// PrefixSnapshots enables snapshot-tree search (snapshot.go):
-	// directed attempts capture world + engine snapshots at scheduler
-	// quiescent points, keyed by flip-set prefix, and child attempts
-	// whose flip sets extend a captured prefix resume from the deepest
-	// safe snapshot instead of re-executing from step 0. Reproduction
-	// results and the Workers:1 search trajectory are unchanged (the
-	// equivalence property tests pin this); what changes is the work: a
-	// restored attempt fast-forwards its shared prefix mechanically and
-	// pays detection and scheduling-decision cost only on its divergent
-	// suffix. Ignored under FromCheckpoint (the recording checkpoint
-	// already anchors every attempt) and for non-feedback policies
-	// (without a frontier there are no shared prefixes).
-	PrefixSnapshots bool
-	// SnapshotBudgetBytes bounds the in-memory snapshot cache;
-	// least-recently-used snapshots are evicted past it. 0 means
-	// search.DefaultSnapshotBudget (64 MiB).
-	SnapshotBudgetBytes int64
 	// Workers sizes the work-stealing attempt pool. Each worker pulls
 	// the next canonical attempt — alternating probabilistic samples
 	// and directed frontier pops — and runs it as an independent
@@ -222,18 +205,6 @@ type ReplayStats struct {
 	Steps         uint64
 	Handoffs      uint64
 	FastPathSteps uint64
-	// Prefix-snapshot accounting (PrefixSnapshots on): attempts restored
-	// from / denied a parent snapshot, snapshots captured and evicted,
-	// bytes written into the snapshot cache, and the total steps the
-	// restored attempts fast-forwarded mechanically instead of deciding.
-	// Steps - FastForwardSteps is the search's truly re-executed work —
-	// the quantity the snapshot tree exists to shrink.
-	SnapshotHits     int
-	SnapshotMisses   int
-	SnapshotCaptures int
-	SnapshotEvicted  int
-	SnapshotBytes    int64
-	FastForwardSteps uint64
 }
 
 // ReplayResult is the outcome of the replay search.
@@ -314,17 +285,12 @@ func ReplayContext(ctx context.Context, prog *appkit.Program, rec *Recording, op
 	}
 	s.cancel.Store(cancelNone)
 	s.likelyWinner.Store(-1)
-	if opts.Cache != nil || opts.PrefixSnapshots {
+	if opts.Cache != nil {
 		s.digest = searchDigest(prog, rec, opts)
 	}
 	if s.feedback {
 		s.frontier = search.NewFrontier[replayNode](s.maxW)
 		s.frontier.Push(replayNode{}, 0)
-		if opts.PrefixSnapshots {
-			if _, cp := activeCheckpoint(rec, opts); !cp {
-				s.snaps = search.NewSnapshotCache(opts.SnapshotBudgetBytes)
-			}
-		}
 		// The production run's failing thread, if the recording captured
 		// the failure: races involving it are the prime suspects.
 		if f := rec.BugFailure(); f != nil {

@@ -78,15 +78,15 @@ type Config struct {
 // context's error is returned — the pool never leaks a goroutine.
 // A nil error means the run ended by budget or by a Commit stop.
 //
-// Memory visibility (the snapshot-handoff contract): within one job,
+// Memory visibility (the artifact-handoff contract): within one job,
 // the pool's mutex orders Dispatch → Run → Complete → Commit, so a
 // job's Run sees everything its Dispatch composed and its Commit sees
 // everything its Run wrote. Across jobs the pool promises nothing
 // about Run-to-Run ordering at Workers > 1 — two Runs may be fully
 // concurrent — so artifacts one Run publishes for another (e.g. the
-// replay search's prefix snapshots) must flow through a container
-// that synchronizes internally; the publishing Run must treat an
-// artifact as immutable once shared. At Workers: 1 the strict
+// replay search's schedule-cache entries) must flow through a
+// container that synchronizes internally; the publishing Run must
+// treat an artifact as immutable once shared. At Workers: 1 the strict
 // dispatch-run-commit alternation does order every effect of job i
 // before job i+1's Dispatch, which is what lets a one-worker search
 // consume artifacts published earlier in the same run as if it were a

@@ -210,7 +210,7 @@ func TestPoolAdaptiveStillRunsEverything(t *testing.T) {
 	}
 }
 
-// artifactRunner models the replay search's prefix-snapshot handoff:
+// artifactRunner models a cross-job artifact handoff:
 // every Run publishes an immutable artifact for its index into a
 // mutex-guarded store and consumes the deepest predecessor artifact
 // already published, checksumming it to catch torn reads. Under -race

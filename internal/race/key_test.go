@@ -3,8 +3,6 @@ package race
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/trace"
@@ -85,64 +83,5 @@ func TestDetectorKnownPairAllocFree(t *testing.T) {
 	}
 	if len(d.Pairs()) != known {
 		t.Fatalf("pairs grew from %d to %d re-observing the same accesses", known, len(d.Pairs()))
-	}
-}
-
-// TestHistoryRecyclingRespectsClones: the original recycling its
-// evicted history clocks must not touch the clone's — the clone keeps
-// detecting against the clocks it was cloned with.
-func TestHistoryRecyclingRespectsClones(t *testing.T) {
-	d := NewDetector()
-	w1 := trace.Event{TID: 1, TCount: 1, Kind: trace.KindStore, Obj: 0x40, Seq: 1}
-	d.OnEvent(w1)
-	c := d.Clone()
-	for i := 0; i < 2*historyDepth; i++ {
-		d.OnEvent(trace.Event{TID: 1, TCount: uint64(2 + i), Kind: trace.KindStore, Obj: 0x40, Seq: uint64(2 + i)})
-	}
-	for _, recs := range c.writes {
-		for _, r := range recs {
-			if r.vc.Get(1) != 1 {
-				t.Fatalf("clone's recorded clock changed under the original: %v", r.vc)
-			}
-		}
-	}
-	c.OnEvent(trace.Event{TID: 2, TCount: 1, Kind: trace.KindStore, Obj: 0x40, Seq: 2})
-	if len(c.Pairs()) != 1 || c.Pairs()[0].First != (Access{TID: 1, TCount: 1, Addr: 0x40, Write: true}) {
-		t.Fatalf("clone pairs = %v, want the race with t1#1", c.Pairs())
-	}
-}
-
-// TestConcurrentCloneReadOnly: the snapshot cache clones one master
-// detector from several workers at once, so Clone must only read its
-// source. Under -race any write to the source's histories fails here;
-// every clone must also match the source.
-func TestConcurrentCloneReadOnly(t *testing.T) {
-	d := NewDetector()
-	for i := 0; i < 3*historyDepth; i++ {
-		tid := trace.TID(1 + i%3)
-		kind := trace.KindLoad
-		if i%2 == 0 {
-			kind = trace.KindStore
-		}
-		d.OnEvent(trace.Event{TID: tid, TCount: uint64(1 + i), Kind: kind, Obj: 0x40 + uint64(i%2)*8, Seq: uint64(1 + i)})
-	}
-	want := d.Footprint()
-	var wg sync.WaitGroup
-	clones := make([]*Detector, 4)
-	for i := range clones {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			clones[i] = d.Clone()
-		}(i)
-	}
-	wg.Wait()
-	for i, c := range clones {
-		if got := c.Footprint(); got != want {
-			t.Fatalf("clone %d footprint = %d, want %d", i, got, want)
-		}
-		if !reflect.DeepEqual(c.Pairs(), d.Pairs()) {
-			t.Fatalf("clone %d pairs = %v, want %v", i, c.Pairs(), d.Pairs())
-		}
 	}
 }

@@ -215,9 +215,9 @@ func (d *Detector) reportConcurrent(prior []accessRec, cur accessRec, seq uint64
 
 // appendBounded appends r to a per-address history with a private copy
 // of r's clock, dropping the oldest record once historyDepth are held.
-// The detector owns every clock in its histories (Clone copies them),
-// so the dropped record's storage becomes the copy's when it is large
-// enough, and a hot address's history cycles through the same buffers.
+// The detector owns every clock in its histories, so the dropped
+// record's storage becomes the copy's when it is large enough, and a
+// hot address's history cycles through the same buffers.
 func appendBounded(s []accessRec, r accessRec) []accessRec {
 	var buf vclock.VC
 	if len(s) == historyDepth {

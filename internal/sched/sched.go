@@ -85,28 +85,6 @@ type EpochObserver interface {
 	OnEpochSeal(tid trace.TID) (extraCost uint64)
 }
 
-// QuiescentObserver is an optional Observer extension for prefix
-// snapshotting: OnQuiescent(step) fires at the top of every scheduling
-// round — after every in-flight thread has parked and before the
-// Strategy picks — with the number of events committed so far. At that
-// instant no thread is executing user code and no thread sits between
-// a syscall's decision and its effect, which is exactly the
-// quiescent-point contract vsys.World.Snapshot requires; and because
-// the tap precedes the pick, any state the Strategy mutates while
-// choosing still describes the committed prefix, not the upcoming
-// event. (A control-transfer tap would run one pick ahead of the
-// commit stream — the pick that detects the transfer has already
-// happened.) Multi-event runs granted to one thread commit without
-// returning to the round top, so taps land between runs, not between
-// every pair of events. The hook costs nothing when no registered
-// observer implements it (the scan at construction leaves an empty
-// slice), and must not mutate scheduling state: it is a read-only
-// tap, fired identically in single-step and fast-path modes.
-type QuiescentObserver interface {
-	Observer
-	OnQuiescent(step uint64)
-}
-
 // Candidate describes one enabled parked thread offered to a Strategy.
 type Candidate struct {
 	TID  trace.TID
@@ -287,12 +265,11 @@ type Scheduler struct {
 	step     uint64
 	failure  *Failure
 	res      Result
-	sleepReq bool                // set by EffectCtx.Sleep during the current grant
-	ctxDone  <-chan struct{}     // Config.Ctx's done channel, nil when unset
-	granter  RunGranter          // Strategy's optional run seam; nil in single-step mode
-	runObs   []RunObserver       // observers that pre-reserve per granted run
-	epochObs []EpochObserver     // observers sealed at control transfers
-	quiObs   []QuiescentObserver // observers tapped at control transfers
+	sleepReq bool            // set by EffectCtx.Sleep during the current grant
+	ctxDone  <-chan struct{} // Config.Ctx's done channel, nil when unset
+	granter  RunGranter      // Strategy's optional run seam; nil in single-step mode
+	runObs   []RunObserver   // observers that pre-reserve per granted run
+	epochObs []EpochObserver // observers sealed at control transfers
 	// lastGrant is the thread the previous pick round granted: the
 	// owner of the currently open epoch. Sealed (for epochObs) when a
 	// different thread is granted, and finally at end of execution.
@@ -356,9 +333,6 @@ func Run(root func(*Thread), cfg Config) *Result {
 	for _, o := range cfg.Observers {
 		if eo, ok := o.(EpochObserver); ok {
 			s.epochObs = append(s.epochObs, eo)
-		}
-		if qo, ok := o.(QuiescentObserver); ok {
-			s.quiObs = append(s.quiObs, qo)
 		}
 	}
 	s.ectx.s = s
@@ -484,12 +458,6 @@ func (s *Scheduler) loop() {
 				Msg: fmt.Sprintf("execution exceeded %d scheduling points", s.cfg.MaxSteps)}
 			s.shutdown()
 			return
-		}
-		// Quiescent tap: every thread is parked and the strategy has not
-		// yet picked, so s.step committed events fully describe the state
-		// an observer captures here (see QuiescentObserver).
-		for _, o := range s.quiObs {
-			o.OnQuiescent(s.step)
 		}
 		var view *PickView
 		if s.soloUsable() {

@@ -2,17 +2,17 @@ package trace
 
 import "testing"
 
-// FuzzFlipPrefixKey pins the keying discipline of the snapshot tree
-// (internal/core snapshot.go): a directed attempt stores snapshots
-// under the cache key of its own flip set, and a child looks up the
-// key of its parent prefix — the child's flips minus the one it added.
-// The tree is only sound if every proper prefix of a flip sequence
-// keys differently from the full set (a collision would let an attempt
-// restore from its own, deeper snapshots — a cycle), and if distinct
-// prefix depths never collide with each other. Both must hold through
-// the full ScheduleCacheKey composition, not just FlipSetKey, and for
-// duplicate flips too: extending a set by a flip it already contains
-// still changes the multiset, so it must still change the key.
+// FuzzFlipPrefixKey pins that every prefix depth of a flip sequence
+// keys differently under ScheduleCacheKey. The replay search extends a
+// directed attempt's flip set by one flip per feedback generation, so
+// a parent and each of its descendants are prefixes of one sequence:
+// if two depths shared a key, the schedule cache would serve a
+// shallower attempt's verdict for a deeper one, and the dedup set
+// (whose identity matches FlipSetKey exactly) would drop a new node as
+// already seen. The property must hold through the full
+// ScheduleCacheKey composition, not just FlipSetKey, and for duplicate
+// flips too: extending a set by a flip it already contains still
+// changes the multiset, so it must still change the key.
 func FuzzFlipPrefixKey(f *testing.F) {
 	f.Add(uint64(0), []byte{})
 	f.Add(uint64(1), flipSeed(36))
@@ -37,7 +37,7 @@ func FuzzFlipPrefixKey(f *testing.F) {
 			}
 		}
 		// A context change must move every key: two searches with
-		// different digests can never serve each other's snapshots.
+		// different digests can never serve each other's cache entries.
 		for i := 0; i <= len(flips); i++ {
 			if other := ScheduleCacheKey(ctx+1, 0, false, FlipSetKey(flips[:i])); other == keys[i] {
 				t.Fatalf("depth %d key %q ignores the context digest", i, keys[i])
